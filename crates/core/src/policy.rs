@@ -213,15 +213,24 @@ impl MrPolicy {
             .inc();
     }
 
-    /// Stops all mapper serving for a finished job.
+    /// Stops all mapper serving for a finished job. Only clients that
+    /// were sent a map result can have registered its partitions (in
+    /// `on_task_executed`), so the sweep visits each map's result
+    /// clients — validated holders and losing replicas alike — rather
+    /// than the whole population.
     fn stop_serving(&self, eng: &mut Engine, job_idx: usize) {
         let job = &self.tracker.jobs[job_idx];
         let cfg = &job.cfg;
-        for m in 0..cfg.job.n_maps {
-            for r in 0..cfg.job.n_reduces {
-                let name = cfg.job.partition_file(m, r);
-                for c in 0..eng.n_clients() {
-                    eng.unregister_served_file(ClientId(c as u32), &name);
+        for (m, &map_wu) in job.map_wus.iter().enumerate() {
+            let clients: Vec<ClientId> = eng
+                .db
+                .results_of(map_wu)
+                .iter()
+                .filter_map(|&rid| eng.db.result(rid).client)
+                .collect();
+            for c in clients {
+                for r in 0..cfg.job.n_reduces {
+                    eng.unregister_served_file(c, &cfg.job.partition_file(m, r));
                 }
             }
         }
@@ -534,6 +543,141 @@ mod tests {
         let inputs = &eng.db.wu(rwu).spec.inputs;
         let nonzero = inputs.iter().filter(|f| f.bytes > 0).count();
         assert_eq!(nonzero, 1, "only the last-validated map still costs bytes");
+    }
+
+    /// Every partition file of job `ji`.
+    fn partition_files(pol: &MrPolicy, ji: usize) -> Vec<String> {
+        let job = &pol.tracker.jobs[ji].cfg.job;
+        (0..job.n_maps)
+            .flat_map(|m| (0..job.n_reduces).map(move |r| job.partition_file(m, r)))
+            .collect()
+    }
+
+    /// The `(client, file)` pairs of `names` currently registered.
+    fn serving(eng: &Engine, names: &[String]) -> Vec<(ClientId, String)> {
+        let mut out = Vec::new();
+        for c in (0..eng.n_clients() as u32).map(ClientId) {
+            for n in names.iter().filter(|n| eng.serves_file(c, n)) {
+                out.push((c, n.clone()));
+            }
+        }
+        out
+    }
+
+    fn byzantine(c: u32) -> vmr_vcore::FaultPlan {
+        vmr_vcore::FaultPlan {
+            byzantine: vec![ClientId(c)],
+            corruption_prob: 1.0,
+            ..vmr_vcore::FaultPlan::none()
+        }
+    }
+
+    /// Runs job 0 on `eng` to completion and checks the job-end sweep:
+    /// some client served a map's partitions without ending up among
+    /// that map's validated holders (a replica that lost validation),
+    /// and after the job no client serves any of its partitions.
+    fn assert_sweep_reaches_losing_replicas(mut eng: Engine) {
+        let mut pol = MrPolicy::new();
+        pol.submit_job(&mut eng, tiny_job(MrMode::InterClient));
+        let spec = pol.tracker.jobs[0].cfg.job.clone();
+        // (client, map) pairs seen serving at any event.
+        let mut served: Vec<(ClientId, usize)> = Vec::new();
+        eng.run_until(&mut pol, SimTime::from_secs(100_000), |e| {
+            for c in (0..e.n_clients() as u32).map(ClientId) {
+                for m in 0..spec.n_maps {
+                    let serves =
+                        (0..spec.n_reduces).any(|r| e.serves_file(c, &spec.partition_file(m, r)));
+                    if serves && !served.contains(&(c, m)) {
+                        served.push((c, m));
+                    }
+                }
+            }
+            e.db.all_wus_terminal()
+        });
+        let job = &pol.tracker.jobs[0];
+        assert_eq!(job.phase, Phase::Done);
+        assert!(
+            served.iter().any(|(c, m)| !job.holders[*m].contains(c)),
+            "a replica must have served a map it lost"
+        );
+        assert_eq!(
+            serving(&eng, &partition_files(&pol, 0)),
+            vec![],
+            "finished job still served"
+        );
+    }
+
+    #[test]
+    fn job_end_unregisters_losing_replicas_too() {
+        let mut eng = engine(5);
+        eng.fault = byzantine(0);
+        assert_sweep_reaches_losing_replicas(eng);
+    }
+
+    /// The same sweep under the swarm strategy, whose reducers also
+    /// seed chunks of the partitions they fetch.
+    #[test]
+    fn job_end_unregisters_under_swarm_shuffle() {
+        let mut eng = Engine::builder(1)
+            .config(vmr_vcore::ProjectConfig {
+                shuffle: vmr_vcore::ShuffleConfig::swarm(),
+                ..vmr_vcore::ProjectConfig::default()
+            })
+            .clients((0..6).map(|_| {
+                (
+                    HostProfile::pc3001(),
+                    HostLink::symmetric_mbit(100.0, 0.000_5),
+                )
+            }))
+            .build();
+        eng.fault = byzantine(1);
+        assert_sweep_reaches_losing_replicas(eng);
+    }
+
+    /// With two jobs in flight, the first job's end unregisters only
+    /// its own partitions: every second-job file served just before
+    /// that event is still served after it.
+    #[test]
+    fn job_end_leaves_other_jobs_files_served() {
+        let mut eng = engine(8);
+        eng.fault = byzantine(2);
+        let mut pol = MrPolicy::new();
+        pol.submit_job(&mut eng, tiny_job(MrMode::InterClient));
+        let mut slow = tiny_job(MrMode::InterClient);
+        slow.input_bytes *= 4;
+        pol.submit_job(&mut eng, slow);
+        let (first, second) = (partition_files(&pol, 0), partition_files(&pol, 1));
+        let horizon = SimTime::from_secs(100_000);
+
+        // Stop on the event that clears the first job's files.
+        let mut first_served = false;
+        let mut second_before: Vec<(ClientId, String)> = Vec::new();
+        let mut second_at_end: Vec<(ClientId, String)> = Vec::new();
+        eng.run_until(&mut pol, horizon, |e| {
+            let now_first = !serving(e, &first).is_empty();
+            let now_second = serving(e, &second);
+            if first_served && !now_first {
+                second_at_end = now_second;
+                return true;
+            }
+            first_served |= now_first;
+            second_before = now_second;
+            false
+        });
+        assert_eq!(pol.tracker.jobs[0].phase, Phase::Done);
+        assert_ne!(pol.tracker.jobs[1].phase, Phase::Done);
+        assert!(!second_before.is_empty(), "second job must be serving");
+        for hit in &second_before {
+            assert!(
+                second_at_end.contains(hit),
+                "first job's end dropped {hit:?}"
+            );
+        }
+
+        eng.run_until(&mut pol, horizon, |e| e.db.all_wus_terminal());
+        assert!(pol.all_done());
+        assert_eq!(serving(&eng, &first), vec![]);
+        assert_eq!(serving(&eng, &second), vec![]);
     }
 
     #[test]

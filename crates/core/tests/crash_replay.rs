@@ -19,7 +19,7 @@ use vmr_core::MrPolicy;
 use vmr_desim::{SimDuration, SimTime};
 use vmr_durable::{frame_ends, sink_image, CompactionPolicy, CrashPlan, DurabilityPlan, Journal};
 use vmr_netsim::HostLink;
-use vmr_vcore::{ClientId, Engine, FaultPlan, HostProfile, TrustConfig};
+use vmr_vcore::{ClientId, Engine, FaultPlan, HostProfile, TrustConfig, WuState};
 
 /// Asserts a resumed outcome reproduces the uninterrupted baseline
 /// bit-for-bit: Table I row, phase-time f64 bits, counters, end time.
@@ -132,6 +132,13 @@ fn recovered_state_matches_live_at_every_frame_boundary() {
     let mut snapshot_seeded = 0u32;
     let mut check = |cut: usize| {
         let rec = RecoveredServerState::from_log(&log[..cut]).unwrap();
+        // The recovered terminal count (snapshot decode + replay)
+        // agrees with a scan of the recovered rows.
+        assert_eq!(
+            rec.db.all_wus_terminal(),
+            rec.db.count_state(WuState::Active) == 0,
+            "terminal count drifted at cut {cut}"
+        );
         let want = boundaries
             .get(&rec.committed_bytes)
             .unwrap_or_else(|| panic!("no boundary captured at {}", rec.committed_bytes));

@@ -25,6 +25,13 @@
 //! drift from live state. Snapshots serialize only the two row tables
 //! ([`Db::encode_state`]) in global id order; the secondary indexes are
 //! derived data and are rebuilt on decode.
+//!
+//! **Terminal count.** [`Db::all_wus_terminal`] is every run loop's
+//! stop predicate, evaluated after every event, so it reads a derived
+//! count of validated-or-failed WUs instead of scanning the table. The
+//! count moves only in the two `raw_*` appliers that end a WU (shared
+//! by live mutation and replay) and is recomputed from the rows by
+//! [`Db::decode_state`] and [`Db::reshard`]; it is never encoded.
 
 use crate::types::{ClientId, FileRef, OutputFingerprint, ResultId, WuId};
 use crate::workunit::{ResultOutcome, ResultRec, ResultState, WorkUnit, WorkUnitSpec, WuState};
@@ -56,6 +63,8 @@ pub struct Db {
     n_wus: usize,
     /// Total results ever created (next global result id).
     n_results: usize,
+    /// Work units that are validated or failed (derived, never encoded).
+    n_terminal: usize,
     /// WAL handle (disabled by default — a no-op on every append).
     journal: Journal,
 }
@@ -80,6 +89,7 @@ impl Db {
             shards: (0..n).map(|_| DbShard::default()).collect(),
             n_wus: 0,
             n_results: 0,
+            n_terminal: 0,
             journal: Journal::disabled(),
         }
     }
@@ -112,7 +122,9 @@ impl Db {
         }
         self.n_shards = n;
         self.shards = (0..n).map(|_| DbShard::default()).collect();
+        self.n_terminal = 0;
         for w in wus.into_iter().map(Option::unwrap) {
+            self.n_terminal += usize::from(w.state != WuState::Active);
             let s = w.id.0 as usize % n;
             self.shards[s].wus.push(w);
         }
@@ -225,8 +237,9 @@ impl Db {
         &self.shards[s].wus[l]
     }
 
-    /// Mutable work unit row.
-    pub fn wu_mut(&mut self, id: WuId) -> &mut WorkUnit {
+    /// Mutable work unit row. Private: every WU change goes through a
+    /// journaled mutator so the WAL and the terminal count see it.
+    fn wu_mut(&mut self, id: WuId) -> &mut WorkUnit {
         let (s, l) = self.wu_slot(id);
         &mut self.shards[s].wus[l]
     }
@@ -485,15 +498,19 @@ impl Db {
 
     fn raw_mark_wu_validated(&mut self, wu: WuId, canonical: OutputFingerprint, now: SimTime) {
         let w = self.wu_mut(wu);
+        let was_active = w.state == WuState::Active;
         w.state = WuState::Validated;
         w.canonical = Some(canonical);
         w.finished_at = Some(now);
+        self.n_terminal += usize::from(was_active);
     }
 
     fn raw_mark_wu_failed(&mut self, wu: WuId, now: SimTime) {
         let w = self.wu_mut(wu);
+        let was_active = w.state == WuState::Active;
         w.state = WuState::Failed;
         w.finished_at = Some(now);
+        self.n_terminal += usize::from(was_active);
     }
 
     fn raw_set_quorum_override(&mut self, wu: WuId, quorum: Option<u32>) {
@@ -668,12 +685,14 @@ impl Db {
                 ResultState::Over => {}
             }
         }
+        let n_terminal = wus.iter().filter(|w| w.state != WuState::Active).count();
         shard.wus = wus;
         shard.results = results;
         Ok(Db {
             n_shards: 1,
             n_wus: shard.wus.len(),
             n_results: shard.results.len(),
+            n_terminal,
             shards: vec![shard],
             journal: Journal::disabled(),
         })
@@ -685,16 +704,14 @@ impl Db {
         &self.wu(wu).spec.inputs
     }
 
-    /// True when every WU is validated or failed.
+    /// True when every WU is validated or failed (vacuously true with
+    /// no WUs). O(1): reads the derived terminal count.
     pub fn all_wus_terminal(&self) -> bool {
-        self.shards.iter().all(|s| {
-            s.wus
-                .iter()
-                .all(|w| matches!(w.state, WuState::Validated | WuState::Failed))
-        })
+        self.n_terminal == self.n_wus
     }
 
-    /// Count of WUs in a given state.
+    /// Count of WUs in a given state. A full scan, independent of the
+    /// terminal count behind [`Db::all_wus_terminal`].
     pub fn count_state(&self, state: WuState) -> usize {
         self.shards
             .iter()
@@ -829,20 +846,46 @@ mod tests {
         assert_eq!(db.wu(wu).effective_quorum(), 2);
     }
 
-    #[test]
-    fn terminal_tracking() {
-        let mut db = Db::new();
-        let wu = db.insert_workunit(spec("a"), SimTime::ZERO);
-        assert!(!db.all_wus_terminal());
-        db.wu_mut(wu).state = WuState::Validated;
-        assert!(db.all_wus_terminal());
-        assert_eq!(db.count_state(WuState::Validated), 1);
+    /// The O(1) stop predicate agrees with the full-scan oracle.
+    fn assert_terminal_agrees(db: &Db) {
+        assert_eq!(
+            db.all_wus_terminal(),
+            db.count_state(WuState::Active) == 0,
+            "terminal count drifted from the rows"
+        );
     }
 
-    /// Drives `db` through every journaled mutator.
+    #[test]
+    fn terminal_tracking() {
+        // No WUs: vacuously terminal.
+        let mut db = Db::new();
+        assert!(db.all_wus_terminal());
+        assert_terminal_agrees(&db);
+        let a = db.insert_workunit(spec("a"), SimTime::ZERO);
+        let b = db.insert_workunit(spec("b"), SimTime::ZERO);
+        assert!(!db.all_wus_terminal());
+        assert_terminal_agrees(&db);
+        db.mark_wu_validated(a, OutputFingerprint(7), SimTime::from_secs(1));
+        assert!(!db.all_wus_terminal());
+        assert_terminal_agrees(&db);
+        db.mark_wu_failed(b, SimTime::from_secs(2));
+        assert!(db.all_wus_terminal());
+        assert_terminal_agrees(&db);
+        assert_eq!(db.count_state(WuState::Validated), 1);
+        assert_eq!(db.count_state(WuState::Failed), 1);
+        // A new WU reopens the run.
+        db.insert_workunit(spec("c"), SimTime::from_secs(3));
+        assert!(!db.all_wus_terminal());
+        assert_terminal_agrees(&db);
+    }
+
+    /// Drives `db` through every journaled mutator, checking the
+    /// terminal count against the scan after each step.
     fn exercise(db: &mut Db) {
         let a = db.insert_workunit(spec("a"), SimTime::ZERO);
+        assert_terminal_agrees(db);
         let b = db.insert_workunit(spec("b"), SimTime::from_secs(1));
+        assert_terminal_agrees(db);
         let ra = db.results_of(a).to_vec();
         let rb = db.results_of(b).to_vec();
         db.mark_sent(
@@ -851,37 +894,90 @@ mod tests {
             SimTime::from_secs(2),
             SimTime::from_secs(100),
         );
+        assert_terminal_agrees(db);
         db.mark_sent(
             ra[1],
             ClientId(2),
             SimTime::from_secs(3),
             SimTime::from_secs(100),
         );
+        assert_terminal_agrees(db);
         db.mark_reported(
             ra[0],
             ResultOutcome::Success,
             Some(OutputFingerprint(7)),
             SimTime::from_secs(10),
         );
+        assert_terminal_agrees(db);
         db.mark_reported(
             ra[1],
             ResultOutcome::Success,
             Some(OutputFingerprint(7)),
             SimTime::from_secs(11),
         );
+        assert_terminal_agrees(db);
         db.mark_wu_validated(a, OutputFingerprint(7), SimTime::from_secs(11));
+        assert_terminal_agrees(db);
         db.mark_sent(
             rb[0],
             ClientId(3),
             SimTime::from_secs(4),
             SimTime::from_secs(50),
         );
+        assert_terminal_agrees(db);
         db.mark_timed_out(rb[0], SimTime::from_secs(50));
+        assert_terminal_agrees(db);
         let extra = db.create_result(b);
+        assert_terminal_agrees(db);
         db.cancel_unsent(extra);
+        assert_terminal_agrees(db);
         db.set_quorum_override(b, Some(1));
         db.set_quorum_override(b, Some(1)); // unchanged: no record
+        assert_terminal_agrees(db);
         db.mark_wu_failed(b, SimTime::from_secs(60));
+        assert_terminal_agrees(db);
+    }
+
+    /// The terminal count is derived data: resharding, a snapshot
+    /// round trip and WAL replay all reproduce it, with WUs both
+    /// terminal and still active.
+    #[test]
+    fn terminal_count_survives_reshard_decode_and_replay() {
+        use vmr_durable::{recover, DurabilityPlan};
+        let j = Journal::new(&DurabilityPlan::new(0.0)).unwrap();
+        let mut db = Db::new();
+        db.set_journal(j.clone());
+        exercise(&mut db);
+        db.insert_workunit(spec("open"), SimTime::from_secs(70));
+        assert!(!db.all_wus_terminal());
+        j.commit();
+
+        for n in [4usize, 1] {
+            db.reshard(n);
+            assert_terminal_agrees(&db);
+            assert!(!db.all_wus_terminal());
+        }
+        let back = Db::decode_state(&db.encode_state()).unwrap();
+        assert_terminal_agrees(&back);
+        assert!(!back.all_wus_terminal());
+
+        let mut replayed = Db::new();
+        for c in &recover(&j.log_bytes()).unwrap().tail {
+            assert!(replayed.apply_change(c).unwrap(), "unhandled {c:?}");
+            assert_terminal_agrees(&replayed);
+        }
+        assert_eq!(replayed.encode_state(), db.encode_state());
+        assert!(!replayed.all_wus_terminal());
+
+        // Finishing the open WU closes every view of the table.
+        let open = WuId(2);
+        db.mark_wu_validated(open, OutputFingerprint(1), SimTime::from_secs(80));
+        assert!(db.all_wus_terminal());
+        db.reshard(4);
+        assert!(db.all_wus_terminal());
+        assert!(Db::decode_state(&db.encode_state())
+            .unwrap()
+            .all_wus_terminal());
     }
 
     #[test]

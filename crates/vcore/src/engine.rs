@@ -545,6 +545,12 @@ impl Engine {
         self.swarm_index.drop_file(name);
     }
 
+    /// Is `name` registered as served by `client`? Registration only:
+    /// an expired serving window still counts until unregistered.
+    pub fn serves_file(&self, client: ClientId, name: &str) -> bool {
+        self.clients[client.0 as usize].served.contains_key(name)
+    }
+
     /// Extends/reset the serving window of a file ("the map outputs'
     /// timeout is reset … and the file becomes available for upload").
     pub fn reset_serving_timeout(&mut self, client: ClientId, name: &str, until: Option<SimTime>) {

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Repo-wide hygiene gate: formatting, lints (warnings are errors), the
-# full test suite, the observability feature matrix, and a bench smoke
-# that refreshes BENCH_netsim.json. Run before sending a change.
+# full test suite and the benchmark's self-check, the observability
+# feature matrix, a byte-diff of `table1 --quick` and `fig4` against
+# the goldens in tests/golden/, and a bench smoke that refreshes
+# BENCH_netsim.json. Run before sending a change.
 #
 # Usage: scripts/check.sh [--no-test] [--no-bench]
 
@@ -36,6 +38,9 @@ cargo build --offline --examples
 if [ "$NO_TEST" -eq 0 ]; then
     echo "==> cargo test (workspace)"
     cargo test --offline --workspace --quiet
+
+    echo "==> cargo test (perfbench self-check)"
+    cargo test --offline --release --quiet --manifest-path perfbench/Cargo.toml
 fi
 
 if [ "$NO_BENCH" -eq 0 ]; then
@@ -51,8 +56,16 @@ if [ "$NO_BENCH" -eq 0 ]; then
     fi
 
     echo "==> bench smoke: table1 --quick (with metrics dump)"
-    ./target/release/table1 --quick --metrics /tmp/table1_quick_metrics.json > /dev/null
+    ./target/release/table1 --quick --metrics /tmp/table1_quick_metrics.json > /tmp/table1_quick.txt
     [ -s /tmp/table1_quick_metrics.json ] || { echo "table1 --metrics wrote nothing" >&2; exit 1; }
+
+    echo "==> goldens: table1 --quick and fig4 byte-diffed against tests/golden/"
+    cargo build --offline --release -p vmr-bench --bin fig4
+    diff tests/golden/table1_quick.txt /tmp/table1_quick.txt \
+        || { echo "table1 --quick diverged from tests/golden/table1_quick.txt" >&2; exit 1; }
+    ./target/release/fig4 > /tmp/fig4.txt
+    diff tests/golden/fig4.txt /tmp/fig4.txt \
+        || { echo "fig4 diverged from tests/golden/fig4.txt" >&2; exit 1; }
 
     echo "==> crash-replay smoke: crash mid-run, resume from the WAL mirror, byte-diff"
     echo "    (single-log plan, then sharded + incremental + compacted)"
@@ -63,11 +76,10 @@ if [ "$NO_BENCH" -eq 0 ]; then
     TORTURE_SMOKE=1 cargo test --offline --release -p vmr-durable --test torture --quiet
 
     if [ "${SHARD_SMOKE:-0}" = "1" ]; then
-        echo "==> shard smoke: 4-shard table1 --quick byte-diffed vs 1 shard (SHARD_SMOKE=1)"
-        ./target/release/table1 --quick > /tmp/table1_quick_1shard.txt
+        echo "==> shard smoke: 4-shard table1 --quick byte-diffed against the golden (SHARD_SMOKE=1)"
         ./target/release/table1 --quick --shards 4 > /tmp/table1_quick_4shard.txt
-        diff /tmp/table1_quick_1shard.txt /tmp/table1_quick_4shard.txt \
-            || { echo "4-shard table1 output diverged from 1 shard" >&2; exit 1; }
+        diff tests/golden/table1_quick.txt /tmp/table1_quick_4shard.txt \
+            || { echo "4-shard table1 output diverged from tests/golden/table1_quick.txt" >&2; exit 1; }
 
         echo "==> shard smoke: serve-loop scaling (refreshes BENCH_shard.json, >=2.5x floor)"
         cargo build --offline --release -p vmr-bench --bin shard_scaling
@@ -84,11 +96,10 @@ if [ "$NO_BENCH" -eq 0 ]; then
             | sed -n 's/^BENCH_shuffle\.json //p' > BENCH_shuffle.json
         [ -s BENCH_shuffle.json ] || { echo "shuffle_ablation emitted no BENCH line" >&2; exit 1; }
 
-        echo "==> shuffle smoke: table1 --quick byte-diffed, baseline vs legacy transfer path"
-        ./target/release/table1 --quick > /tmp/table1_quick_baseline.txt
+        echo "==> shuffle smoke: table1 --quick --shuffle legacy byte-diffed against the golden"
         ./target/release/table1 --quick --shuffle legacy > /tmp/table1_quick_legacy.txt
-        diff /tmp/table1_quick_baseline.txt /tmp/table1_quick_legacy.txt \
-            || { echo "baseline shuffle diverged from the legacy transfer path" >&2; exit 1; }
+        diff tests/golden/table1_quick.txt /tmp/table1_quick_legacy.txt \
+            || { echo "legacy transfer path diverged from tests/golden/table1_quick.txt" >&2; exit 1; }
     fi
 
     if [ "${TRUST_SMOKE:-0}" = "1" ]; then
